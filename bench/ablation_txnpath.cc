@@ -63,9 +63,9 @@ TxnPathResult RunTxnPath(bool batching, TimestampMode mode, SimDuration rtt,
       MakeClusterOptions(SystemKind::kGlobalDb, sim::Topology::Uniform(3, rtt));
   options.initial_mode = mode;
   options.coordinator.enable_write_batching = batching;
-  // Coalescing rides along in both variants: the ablation isolates the
-  // write-batching axis; the micro-section below isolates the coalescer.
-  options.coordinator.coalesce_gtm = true;
+  // Coalescing (always on in the CN) rides along in both variants: the
+  // ablation isolates the write-batching axis; the micro-section below
+  // isolates the coalescer.
   options.coordinator.epoch_interval = epoch_interval;
   if (mode == TimestampMode::kEpoch) {
     // Measure steady-state EPOCH: contended NewOrder keys make some seals

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full verification: configure a fresh build tree with warnings-as-errors,
 # build everything (library, tests, benches, examples), run the test suite,
-# then rebuild with ASan+UBSan and run the tier-1 suite plus a chaos smoke
-# (the randomized fault-schedule test on its three fixed seeds) under the
-# sanitizers. Usage: scripts/check.sh [build-dir]   (default: build-check)
+# the bench gates and the geobench end-to-end smoke (built by
+# geobench/run.py into .bench_build), then rebuild with ASan+UBSan and run
+# the tier-1 suite plus a chaos smoke (the randomized fault-schedule test on
+# its three fixed seeds) under the sanitizers.
+# Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,6 +45,24 @@ scripts/bench_readpath.sh "${BUILD_DIR}"
 # must stay under 10x the 50 ms RTT. Emits BENCH_durability.json.
 echo "== durability soak =="
 scripts/bench_durability.sh "${BUILD_DIR}"
+
+# End-to-end benchmark smoke: the geobench audits must catch every planted
+# fault (--selftest), and a one-second run of each workload must pass every
+# audit ("correct": true on the JSON result line it prints last).
+echo "== geobench smoke (selftest + one short run per workload) =="
+python3 geobench/run.py --selftest
+for workload in geo-rw geo-ro local-rw; do
+  result="$(python3 geobench/run.py --workload "${workload}" --seed 1 \
+    --seconds 1 --trace 0 | tail -n 1)"
+  echo "${workload}: ${result}"
+  case "${result}" in
+    *'"correct": true'*) ;;
+    *)
+      echo "geobench ${workload}: audits failed or no result" >&2
+      exit 1
+      ;;
+  esac
+done
 
 echo "== ASan+UBSan pass =="
 rm -rf "${SAN_DIR}"

@@ -42,7 +42,6 @@ CoordinatorNode::CoordinatorNode(sim::Simulator* sim, sim::Network* network,
                                                 clock_options);
   ts_source_ = std::make_unique<TimestampSource>(sim, network, self, gtm_node,
                                                  clock_.get());
-  ts_source_->set_coalescing(options_.coalesce_gtm);
   EpochManager::Callbacks epoch_callbacks;
   epoch_callbacks.next_epoch_id = [this] { return NextTxnId(); };
   epoch_callbacks.shard_primary = [this](ShardId shard) {
@@ -358,23 +357,10 @@ std::vector<ShardId> CoordinatorNode::WriteTargets(const TableSchema& schema,
 
 sim::Task<Status> CoordinatorNode::DoWrite(TxnHandle* txn,
                                            const TableSchema& schema,
-                                           WriteRequest::Op op, RowKey key,
+                                           WriteOp op, RowKey key,
                                            std::string value,
                                            const Row& route_row) {
   std::vector<ShardId> targets = WriteTargets(schema, route_row);
-
-  if (!options_.enable_write_batching) {
-    WriteRequest request;
-    request.op = op;
-    request.txn = txn->id;
-    request.snapshot = txn->snapshot;
-    request.table = schema.id;
-    request.key = std::move(key);
-    request.value = std::move(value);
-    co_return co_await DoWriteEager(txn, std::move(request),
-                                    std::move(targets));
-  }
-
   if (txn->writes == nullptr) {
     txn->writes =
         std::make_shared<TxnWriteBuffer>(sim_, txn->id, txn->snapshot);
@@ -402,31 +388,10 @@ sim::Task<Status> CoordinatorNode::DoWrite(TxnHandle* txn,
       StartFlush(txn->writes, shard);
     }
   }
+  // Without batching every statement pays its own awaited round trip: the
+  // entries just queued go out at once, one batch per target shard.
+  if (!options_.enable_write_batching) co_return co_await FlushWrites(txn);
   co_return Status::OK();
-}
-
-sim::Task<Status> CoordinatorNode::DoWriteEager(TxnHandle* txn,
-                                                WriteRequest request,
-                                                std::vector<ShardId> targets) {
-  // Every target joins the write set before the outcome is known: a write
-  // that failed after acquiring its row lock still needs the abort
-  // broadcast to reach that shard.
-  std::vector<NodeId> nodes;
-  nodes.reserve(targets.size());
-  for (ShardId shard : targets) {
-    nodes.push_back(shard_primaries_[shard]);
-    txn->write_shards.insert(shard);
-  }
-  if (txn->mode == TimestampMode::kEpoch) {
-    txn->epoch_writes.emplace_back(request.table, request.key);
-  }
-  if (nodes.size() == 1) {
-    auto result = co_await client_.Call(nodes[0], kDnWrite, request);
-    co_return result.status();
-  }
-  // Replicated-table write: all shards in parallel, first error wins.
-  auto results = co_await client_.CallAll(nodes, kDnWrite, request);
-  co_return rpc::FirstError(results);
 }
 
 void CoordinatorNode::StartFlush(const std::shared_ptr<TxnWriteBuffer>& wb,
@@ -541,7 +506,7 @@ sim::Task<Status> CoordinatorNode::Insert(TxnHandle* txn,
   GDB_CO_RETURN_IF_ERROR(schema->ValidateRow(row));
   std::string value;
   EncodeRow(row, &value);
-  co_return co_await DoWrite(txn, *schema, WriteRequest::Op::kInsert,
+  co_return co_await DoWrite(txn, *schema, WriteOp::kInsert,
                              schema->PrimaryKeyOf(row), std::move(value),
                              row);
 }
@@ -555,7 +520,7 @@ sim::Task<Status> CoordinatorNode::Update(TxnHandle* txn,
   GDB_CO_RETURN_IF_ERROR(schema->ValidateRow(row));
   std::string value;
   EncodeRow(row, &value);
-  co_return co_await DoWrite(txn, *schema, WriteRequest::Op::kUpdate,
+  co_return co_await DoWrite(txn, *schema, WriteOp::kUpdate,
                              schema->PrimaryKeyOf(row), std::move(value),
                              row);
 }
@@ -574,14 +539,8 @@ sim::Task<Status> CoordinatorNode::Delete(TxnHandle* txn,
   for (size_t i = 0; i < schema->key_columns.size(); ++i) {
     sparse[schema->key_columns[i]] = key_values[i];
   }
-  co_return co_await DoWrite(txn, *schema, WriteRequest::Op::kDelete,
+  co_return co_await DoWrite(txn, *schema, WriteOp::kDelete,
                              schema->PrimaryKeyOf(sparse), "", sparse);
-}
-
-NodeId CoordinatorNode::PickReadNode(const TxnHandle& txn,
-                                     const TableSchema& schema,
-                                     ShardId shard) {
-  return PickReadTarget(txn, RorDdlVisible(schema), shard);
 }
 
 NodeId CoordinatorNode::PickReadTarget(const TxnHandle& txn, bool ddl_visible,
@@ -612,51 +571,24 @@ NodeId CoordinatorNode::PickReadTarget(const TxnHandle& txn, bool ddl_visible,
 
 sim::Task<StatusOr<std::optional<Row>>> CoordinatorNode::Get(
     TxnHandle* txn, const std::string& table, const Row& key_values) {
-  co_await cpu_.Consume(options_.statement_cost);
-  const TableSchema* schema = catalog_.FindTable(table);
-  if (schema == nullptr) co_return Status::NotFound("table " + table);
-  if (key_values.size() != schema->key_columns.size()) {
-    co_return Status::InvalidArgument("key arity mismatch");
-  }
-  Row sparse(schema->columns.size());
-  for (size_t i = 0; i < schema->key_columns.size(); ++i) {
-    sparse[schema->key_columns[i]] = key_values[i];
-  }
-  auto shard = ShardOf(*schema, sparse);
-  if (!shard.ok()) co_return shard.status();
+  MultiGetKey key{table, key_values, /*for_update=*/false};
+  co_return co_await GetOne(txn, std::move(key));
+}
 
-  ReadRequest request;
-  request.table = schema->id;
-  request.key = schema->PrimaryKeyOf(sparse);
-  request.snapshot = txn->snapshot;
-  request.txn = txn->use_ror ? kInvalidTxnId : txn->id;
-  NoteEpochRead(txn, request.table, request.key);
+sim::Task<StatusOr<std::optional<Row>>> CoordinatorNode::GetForUpdate(
+    TxnHandle* txn, const std::string& table, const Row& key_values) {
+  MultiGetKey key{table, key_values, /*for_update=*/true};
+  co_return co_await GetOne(txn, std::move(key));
+}
 
-  // Read-your-writes: if this key is sitting in the write buffer (or any
-  // flush is still in flight), flush before reading.
-  if (NeedsFlushForKey(*txn, schema->id, request.key)) {
-    metrics_.Add("cn.flush_barriers");
-    GDB_CO_RETURN_IF_ERROR(co_await FlushWrites(txn));
-  }
-
-  const NodeId target = PickReadNode(*txn, *schema, *shard);
-  const bool is_replica = target != shard_primaries_[*shard];
-  auto result =
-      co_await client_.Call(target, is_replica ? kRorRead : kDnRead, request);
-  if (!result.ok() && is_replica &&
-      rpc::IsTransportError(result.status())) {
-    // Failover: exclude the unreachable replica and retry on the primary.
-    // Application errors are not failed over — the primary would return
-    // the same answer.
-    selector_.MarkFailed(target);
-    metrics_.Add("cn.replica_failovers");
-    result = co_await client_.Call(shard_primaries_[*shard], kDnRead, request);
-  }
-  if (!result.ok()) co_return result.status();
-  if (!result->found) co_return std::optional<Row>{};
-  Row row;
-  GDB_CO_RETURN_IF_ERROR(DecodeRow(Slice(result->value), &row));
-  co_return std::optional<Row>(std::move(row));
+sim::Task<StatusOr<std::optional<Row>>> CoordinatorNode::GetOne(
+    TxnHandle* txn, MultiGetKey key) {
+  std::vector<MultiGetKey> keys;
+  keys.push_back(std::move(key));
+  auto rows = co_await MultiGetBatched(txn, std::move(keys),
+                                       /*multiget=*/false);
+  if (!rows.ok()) co_return rows.status();
+  co_return std::move(rows->front());
 }
 
 sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
@@ -673,6 +605,12 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
   if (!options_.enable_read_batching) {
     co_return co_await MultiGetSerial(txn, std::move(keys));
   }
+  co_return co_await MultiGetBatched(txn, std::move(keys), /*multiget=*/true);
+}
+
+sim::Task<StatusOr<std::vector<std::optional<Row>>>>
+CoordinatorNode::MultiGetBatched(TxnHandle* txn, std::vector<MultiGetKey> keys,
+                                 bool multiget) {
   // Same parse/plan/route CPU as the serial statements: the batch saves
   // round trips, not planning work.
   co_await cpu_.Consume(options_.statement_cost *
@@ -732,14 +670,17 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
     needs_flush = needs_flush || NeedsFlushForKey(*txn, uk.table, uk.key);
     unique.push_back(std::move(uk));
   }
-  metrics_.Add("cn.multigets");
-  metrics_.Hist("cn.read_batch_size")
-      .Record(static_cast<int64_t>(unique.size()));
+  if (multiget) {
+    metrics_.Add("cn.multigets");
+    metrics_.Hist("cn.read_batch_size")
+        .Record(static_cast<int64_t>(unique.size()));
+  }
 
   // Read-your-writes across the whole key set: at most ONE barrier no
   // matter how many keys overlap the write buffer.
   if (needs_flush) {
-    metrics_.Add("cn.multiget_flush_barriers");
+    metrics_.Add(multiget ? "cn.multiget_flush_barriers"
+                          : "cn.flush_barriers");
     GDB_CO_RETURN_IF_ERROR(co_await FlushWrites(txn));
   }
 
@@ -762,8 +703,10 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
     group.request.entries.push_back(std::move(entry));
     group.slots.push_back(u);
   }
-  metrics_.Hist("cn.multiget_fanout")
-      .Record(static_cast<int64_t>(groups.size()));
+  if (multiget) {
+    metrics_.Hist("cn.multiget_fanout")
+        .Record(static_cast<int64_t>(groups.size()));
+  }
 
   for (ReadGroup& group : groups) {
     bool has_lock = false;
@@ -790,13 +733,18 @@ sim::Task<StatusOr<std::vector<std::optional<Row>>>> CoordinatorNode::MultiGet(
   }
 
   // Fan every group out in parallel: the WAN cost of the whole MultiGet is
-  // one round trip to the slowest group, not a sum over keys.
-  sim::WaitGroup wg(sim_);
-  for (ReadGroup& group : groups) {
-    wg.Add(1);
-    sim_->Spawn(CallReadGroup(&group, &wg));
+  // one round trip to the slowest group, not a sum over keys. A lone group
+  // (every Get and GetForUpdate) is awaited inline.
+  if (groups.size() == 1) {
+    co_await CallReadGroup(&groups[0], nullptr);
+  } else {
+    sim::WaitGroup wg(sim_);
+    for (ReadGroup& group : groups) {
+      wg.Add(1);
+      sim_->Spawn(CallReadGroup(&group, &wg));
+    }
+    co_await wg.Wait();
   }
-  co_await wg.Wait();
 
   // First error wins: group envelope errors, then per-entry errors (same
   // order the serial loop would surface them in).
@@ -828,74 +776,28 @@ sim::Task<void> CoordinatorNode::CallReadGroup(ReadGroup* group,
       group->request);
   if (!reply.ok() && group->is_replica &&
       rpc::IsTransportError(reply.status())) {
-    // Failover exactly as the serial path, scoped to this group: exclude
-    // the unreachable replica and retry on the shard primary. The other
-    // groups' results are unaffected.
+    // Failover scoped to this group: exclude the unreachable replica and
+    // retry on the shard primary. Application errors are not failed over —
+    // the primary would return the same answer — and the other groups'
+    // results are unaffected.
     selector_.MarkFailed(group->target);
     metrics_.Add("cn.replica_failovers");
     reply = co_await client_.Call(shard_primaries_[group->shard],
                                   kDnReadBatch, group->request);
   }
   group->reply = std::move(reply);
-  wg->Done();
+  if (wg != nullptr) wg->Done();
 }
 
 sim::Task<StatusOr<std::vector<std::optional<Row>>>>
 CoordinatorNode::MultiGetSerial(TxnHandle* txn, std::vector<MultiGetKey> keys) {
   std::vector<std::optional<Row>> rows(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i].for_update) {
-      auto row = co_await GetForUpdate(txn, keys[i].table, keys[i].key_values);
-      if (!row.ok()) co_return row.status();
-      rows[i] = std::move(*row);
-    } else {
-      auto row = co_await Get(txn, keys[i].table, keys[i].key_values);
-      if (!row.ok()) co_return row.status();
-      rows[i] = std::move(*row);
-    }
+    auto row = co_await GetOne(txn, std::move(keys[i]));
+    if (!row.ok()) co_return row.status();
+    rows[i] = std::move(*row);
   }
   co_return rows;
-}
-
-sim::Task<StatusOr<std::optional<Row>>> CoordinatorNode::GetForUpdate(
-    TxnHandle* txn, const std::string& table, const Row& key_values) {
-  co_await cpu_.Consume(options_.statement_cost);
-  const TableSchema* schema = catalog_.FindTable(table);
-  if (schema == nullptr) co_return Status::NotFound("table " + table);
-  if (key_values.size() != schema->key_columns.size()) {
-    co_return Status::InvalidArgument("key arity mismatch");
-  }
-  if (schema->distribution == DistributionKind::kReplicated) {
-    co_return Status::Unimplemented("FOR UPDATE on replicated table");
-  }
-  Row sparse(schema->columns.size());
-  for (size_t i = 0; i < schema->key_columns.size(); ++i) {
-    sparse[schema->key_columns[i]] = key_values[i];
-  }
-  const uint32_t num_shards = static_cast<uint32_t>(shard_primaries_.size());
-  const ShardId shard = RouteRowToShard(*schema, sparse, num_shards);
-
-  ReadRequest request;
-  request.table = schema->id;
-  request.key = schema->PrimaryKeyOf(sparse);
-  request.snapshot = txn->snapshot;
-  request.txn = txn->id;
-
-  if (NeedsFlushForKey(*txn, schema->id, request.key)) {
-    metrics_.Add("cn.flush_barriers");
-    GDB_CO_RETURN_IF_ERROR(co_await FlushWrites(txn));
-  }
-
-  auto result =
-      co_await client_.Call(shard_primaries_[shard], kDnLockRead, request);
-  if (!result.ok()) co_return result.status();
-  // The lock must be released at commit/abort, so the shard joins the
-  // transaction's write set even if no write follows.
-  txn->write_shards.insert(shard);
-  if (!result->found) co_return std::optional<Row>{};
-  Row row;
-  GDB_CO_RETURN_IF_ERROR(DecodeRow(Slice(result->value), &row));
-  co_return std::optional<Row>(std::move(row));
 }
 
 sim::Task<StatusOr<std::vector<Row>>> CoordinatorNode::ScanRange(
@@ -939,9 +841,10 @@ sim::Task<StatusOr<std::vector<Row>>> CoordinatorNode::ScanRange(
       targets;
   targets.reserve(num_shards);
   std::vector<bool> used_replica(num_shards, false);
+  const bool ddl_visible = RorDdlVisible(*schema);
   for (size_t i = 0; i < num_shards; ++i) {
     const ShardId s = scan_shards[i];
-    const NodeId target = PickReadNode(*txn, *schema, s);
+    const NodeId target = PickReadTarget(*txn, ddl_visible, s);
     used_replica[i] = target != shard_primaries_[s];
     targets.emplace_back(target, used_replica[i] ? kRorScan : kDnScan);
   }

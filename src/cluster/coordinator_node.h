@@ -50,18 +50,17 @@ struct CoordinatorOptions {
   /// When true (default), writes buffer in a per-transaction, per-shard
   /// queue and flush as kDnWriteBatch RPCs — at the size threshold below,
   /// at a read-your-writes barrier, or at commit just ahead of precommit
-  /// (DESIGN.md §10). When false, each write is an awaited kDnWrite RPC.
+  /// (DESIGN.md §10). When false, each write statement flushes its own
+  /// entries at once and awaits them: one round trip per statement.
   bool enable_write_batching = true;
   /// Per-shard buffered entries that force an early background flush.
   size_t write_batch_max_entries = 16;
-  /// When true (default), concurrent GTM/DUAL timestamp requests on this CN
-  /// coalesce into single ranged kGtmTimestamp RPCs.
-  bool coalesce_gtm = true;
   /// When true (default), MultiGet dedups its key set, groups keys by
   /// shard, and fans the groups out as parallel kDnReadBatch/kRorReadBatch
   /// RPCs — one WAN round trip for the whole set (DESIGN.md §11). When
   /// false, MultiGet degrades to the equivalent sequence of serial
-  /// Get/GetForUpdate calls (the ablation baseline).
+  /// Get/GetForUpdate calls, each a one-entry batch (the ablation
+  /// baseline).
   bool enable_read_batching = true;
   /// When true (default), ScanBatch groups its ranges by shard and fans
   /// them out as kDnScanBatch/kRorScanBatch streaming RPCs with server-side
@@ -255,6 +254,7 @@ class CoordinatorNode {
   sim::Task<Status> Delete(TxnHandle* txn, const std::string& table,
                            const Row& key_values);
   /// Point lookup by key column values. Returns nullopt when not found.
+  /// Runs MultiGet's batched path with one key: one one-entry read batch.
   sim::Task<StatusOr<std::optional<Row>>> Get(TxnHandle* txn,
                                               const std::string& table,
                                               const Row& key_values);
@@ -362,12 +362,8 @@ class CoordinatorNode {
   std::vector<ShardId> WriteTargets(const TableSchema& schema,
                                     const Row& row) const;
   sim::Task<Status> DoWrite(TxnHandle* txn, const TableSchema& schema,
-                            WriteRequest::Op op, RowKey key,
-                            std::string value, const Row& route_row);
-  /// Eager (non-batched) write path: one awaited RPC per target, fanned out
-  /// in parallel for replicated tables.
-  sim::Task<Status> DoWriteEager(TxnHandle* txn, WriteRequest request,
-                                 std::vector<ShardId> targets);
+                            WriteOp op, RowKey key, std::string value,
+                            const Row& route_row);
   /// Moves `shard`'s queued entries into a kDnWriteBatch request and spawns
   /// its flush coroutine. No-op on an empty buffer; defers (chains) when a
   /// batch for the shard is already in flight; drops the entries when a
@@ -391,11 +387,9 @@ class CoordinatorNode {
   /// unbounded).
   bool NeedsFlushForScan(const TxnHandle& txn, TableId table,
                          const RowKey& start, const RowKey& end) const;
-  /// Chooses the node (replica or primary) for a ROR read of `shard`.
-  NodeId PickReadNode(const TxnHandle& txn, const TableSchema& schema,
-                      ShardId shard);
-  /// Same decision with the table's DDL-visibility verdict precomputed
-  /// (MultiGet groups may span tables; ROR needs every table visible).
+  /// Chooses the node (replica or primary) for a read of `shard`, given
+  /// the tables' DDL-visibility verdict (a batch may span tables; ROR needs
+  /// every table visible).
   NodeId PickReadTarget(const TxnHandle& txn, bool ddl_visible, ShardId shard);
 
   /// One shard's slice of a MultiGet fan-out: the batch request, its
@@ -410,11 +404,21 @@ class CoordinatorNode {
     StatusOr<ReadBatchReply> reply{Status::Unavailable("not attempted")};
   };
   /// Issues one group's batch RPC; on a transport error from a replica,
-  /// fails over only this group to its shard primary (cn.replica_failovers,
-  /// as in the serial path).
+  /// fails over only this group to its shard primary (cn.replica_failovers).
+  /// Signals `wg` when done, if given.
   sim::Task<void> CallReadGroup(ReadGroup* group, sim::WaitGroup* wg);
+  /// The batched point-read body behind MultiGet, Get and GetForUpdate:
+  /// key resolution and dedup, one flush barrier, per-shard grouping and
+  /// routing, parallel fan-out, per-group failover. `multiget` records the
+  /// statement-level MultiGet stats (cn.multigets, cn.read_batch_size,
+  /// cn.multiget_fanout) and names the barrier counter.
+  sim::Task<StatusOr<std::vector<std::optional<Row>>>> MultiGetBatched(
+      TxnHandle* txn, std::vector<MultiGetKey> keys, bool multiget);
+  /// One key through MultiGetBatched (Get, GetForUpdate, MultiGetSerial).
+  sim::Task<StatusOr<std::optional<Row>>> GetOne(TxnHandle* txn,
+                                                 MultiGetKey key);
   /// Degraded MultiGet (read batching disabled): the equivalent sequence of
-  /// serial Get/GetForUpdate calls, results aligned with `keys`.
+  /// serial one-key reads, results aligned with `keys`.
   sim::Task<StatusOr<std::vector<std::optional<Row>>>> MultiGetSerial(
       TxnHandle* txn, std::vector<MultiGetKey> keys);
   /// One shard's slice of a ScanBatch fan-out: the base request (kept

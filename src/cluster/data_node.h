@@ -37,10 +37,8 @@ struct DataNodeOptions {
   /// truncation + continuation.
   size_t scan_chunk_bytes = 64 * 1024;
   SimDuration lock_timeout = 500 * kMillisecond;
-  /// Durability lifecycle (DESIGN.md §12): periodic checkpoint + vacuum +
-  /// log truncation. On by default — truncation is part of normal
-  /// operation, not an optional mode.
-  bool enable_checkpoints = true;
+  /// Durability lifecycle (DESIGN.md §12): period of the checkpoint +
+  /// vacuum + log truncation cycle every primary runs.
   SimDuration checkpoint_interval = 1 * kSecond;
   /// Capacity of the per-txn decision memo (DESIGN.md §13): how many
   /// commit/abort outcomes the primary remembers so a duplicated or
@@ -169,23 +167,19 @@ class DataNode {
 
  private:
   void BindService();
-  sim::Task<StatusOr<ReadReply>> HandleRead(NodeId from, ReadRequest request);
-  sim::Task<StatusOr<ReadReply>> HandleLockRead(NodeId from,
-                                                ReadRequest request);
   sim::Task<StatusOr<ReadBatchReply>> HandleReadBatch(
       NodeId from, ReadBatchRequest request);
   sim::Task<StatusOr<ScanReply>> HandleScan(NodeId from, ScanRequest request);
   sim::Task<StatusOr<ScanBatchReply>> HandleScanBatch(NodeId from,
                                                       ScanBatchRequest request);
-  sim::Task<StatusOr<rpc::EmptyMessage>> HandleWrite(NodeId from,
-                                                     WriteRequest request);
   sim::Task<StatusOr<WriteBatchReply>> HandleWriteBatch(
       NodeId from, WriteBatchRequest request);
-  /// Shared write path (single writes and batch entries): row lock, MVCC
-  /// apply, redo append. Parameters are by value — coroutine frame safety.
-  sim::Task<Status> ApplyWrite(TxnId txn, Timestamp snapshot,
-                               WriteRequest::Op op, TableId table_id,
-                               RowKey key, std::string value);
+  /// Shared write path (write-batch and epoch-prepare entries): row lock,
+  /// MVCC apply, redo append. Parameters are by value — coroutine frame
+  /// safety.
+  sim::Task<Status> ApplyWrite(TxnId txn, Timestamp snapshot, WriteOp op,
+                               TableId table_id, RowKey key,
+                               std::string value);
   sim::Task<StatusOr<rpc::EmptyMessage>> HandlePrecommit(
       NodeId from, TxnControlRequest request);
   sim::Task<StatusOr<rpc::EmptyMessage>> HandleCommit(

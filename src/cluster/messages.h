@@ -12,58 +12,6 @@
 
 namespace globaldb {
 
-/// Point read request (primary or replica).
-struct ReadRequest {
-  TableId table = kInvalidTableId;
-  RowKey key;
-  Timestamp snapshot = 0;
-  TxnId txn = kInvalidTxnId;
-
-  std::string Encode() const {
-    std::string s;
-    PutVarint32(&s, table);
-    PutLengthPrefixed(&s, key);
-    PutVarint64(&s, snapshot);
-    PutVarint64(&s, txn);
-    return s;
-  }
-  static StatusOr<ReadRequest> Decode(Slice in) {
-    ReadRequest r;
-    Slice key;
-    if (!GetVarint32(&in, &r.table) || !GetLengthPrefixed(&in, &key) ||
-        !GetVarint64(&in, &r.snapshot) || !GetVarint64(&in, &r.txn)) {
-      return Status::Corruption("read req");
-    }
-    r.key = key.ToString();
-    return r;
-  }
-};
-
-/// Read result; errors travel in the RPC reply envelope, not here.
-struct ReadReply {
-  bool found = false;
-  std::string value;
-
-  std::string Encode() const {
-    std::string s;
-    s.push_back(found ? 1 : 0);
-    PutLengthPrefixed(&s, value);
-    return s;
-  }
-  static StatusOr<ReadReply> Decode(Slice in) {
-    ReadReply r;
-    Slice value;
-    if (in.empty()) return Status::Corruption("read reply");
-    r.found = in[0] != 0;
-    in.RemovePrefix(1);
-    if (!GetLengthPrefixed(&in, &value)) {
-      return Status::Corruption("read reply value");
-    }
-    r.value = value.ToString();
-    return r;
-  }
-};
-
 /// Ordered range scan over [start, end); empty end = unbounded.
 struct ScanRequest {
   TableId table = kInvalidTableId;
@@ -127,7 +75,8 @@ struct ScanReply {
 };
 
 /// A batch of independent point reads for one shard, resolved under one
-/// snapshot (the CN's MultiGet fan-out, DESIGN.md §11). Entries marked
+/// snapshot (the CN's MultiGet fan-out, DESIGN.md §11; Get and GetForUpdate
+/// send one-entry batches — it is the only point-read RPC). Entries marked
 /// `for_update` take the row lock and read the latest committed version
 /// (SELECT ... FOR UPDATE); they are only ever routed to the primary.
 struct ReadBatchRequest {
@@ -441,52 +390,19 @@ struct ScanBatchReply {
   }
 };
 
-/// Write (insert / update / delete) executed on the primary under a lock.
-struct WriteRequest {
-  enum class Op : uint8_t { kInsert = 1, kUpdate = 2, kDelete = 3 };
-  Op op = Op::kInsert;
-  TxnId txn = kInvalidTxnId;
-  Timestamp snapshot = 0;
-  TableId table = kInvalidTableId;
-  RowKey key;
-  std::string value;
-
-  std::string Encode() const {
-    std::string s;
-    s.push_back(static_cast<char>(op));
-    PutVarint64(&s, txn);
-    PutVarint64(&s, snapshot);
-    PutVarint32(&s, table);
-    PutLengthPrefixed(&s, key);
-    PutLengthPrefixed(&s, value);
-    return s;
-  }
-  static StatusOr<WriteRequest> Decode(Slice in) {
-    WriteRequest r;
-    if (in.empty()) return Status::Corruption("write req");
-    r.op = static_cast<Op>(in[0]);
-    in.RemovePrefix(1);
-    Slice key, value;
-    if (!GetVarint64(&in, &r.txn) || !GetVarint64(&in, &r.snapshot) ||
-        !GetVarint32(&in, &r.table) || !GetLengthPrefixed(&in, &key) ||
-        !GetLengthPrefixed(&in, &value)) {
-      return Status::Corruption("write req fields");
-    }
-    r.key = key.ToString();
-    r.value = value.ToString();
-    return r;
-  }
-};
+/// Statement write kinds, executed on the primary under the row lock.
+enum class WriteOp : uint8_t { kInsert = 1, kUpdate = 2, kDelete = 3 };
 
 /// A pipelined batch of buffered writes for one shard, flushed in statement
-/// order (the CN's per-transaction write buffer, DESIGN.md §10). The primary
-/// applies entries sequentially — lock, apply, redo — exactly as it would
-/// have for individual kDnWrite calls. After the first failing entry it
-/// rolls the transaction back on this shard and releases every lock the
+/// order (the CN's per-transaction write buffer, DESIGN.md §10). It is the
+/// only write RPC: with write batching off the CN sends each statement's
+/// entries as a batch of their own. The primary applies entries
+/// sequentially — lock, apply, redo. After the first failing entry it rolls
+/// the transaction back on this shard and releases every lock the
 /// transaction holds there, marking the remaining entries as skipped.
 struct WriteBatchRequest {
   struct Entry {
-    WriteRequest::Op op = WriteRequest::Op::kInsert;
+    WriteOp op = WriteOp::kInsert;
     TableId table = kInvalidTableId;
     RowKey key;
     std::string value;
@@ -519,7 +435,7 @@ struct WriteBatchRequest {
     for (uint32_t i = 0; i < n; ++i) {
       Entry e;
       if (in.empty()) return Status::Corruption("write batch entry");
-      e.op = static_cast<WriteRequest::Op>(in[0]);
+      e.op = static_cast<WriteOp>(in[0]);
       in.RemovePrefix(1);
       Slice key, value;
       if (!GetVarint32(&in, &e.table) || !GetLengthPrefixed(&in, &key) ||
@@ -920,7 +836,7 @@ struct EpochPrepareRequest {
       for (uint32_t e = 0; e < entries; ++e) {
         WriteBatchRequest::Entry entry;
         if (in.empty()) return Status::Corruption("epoch prepare entry");
-        entry.op = static_cast<WriteRequest::Op>(in[0]);
+        entry.op = static_cast<WriteOp>(in[0]);
         in.RemovePrefix(1);
         Slice key, value;
         if (!GetVarint32(&in, &entry.table) ||
@@ -1029,16 +945,11 @@ struct EpochCommitRequest {
 // --- Method descriptors ------------------------------------------------------
 
 // Served by primary data nodes.
-inline constexpr rpc::RpcMethod<ReadRequest, ReadReply> kDnRead{"dn.read"};
-inline constexpr rpc::RpcMethod<ReadRequest, ReadReply> kDnLockRead{
-    "dn.lock_read"};
 inline constexpr rpc::RpcMethod<ReadBatchRequest, ReadBatchReply>
     kDnReadBatch{"dn.read_batch"};
 inline constexpr rpc::RpcMethod<ScanRequest, ScanReply> kDnScan{"dn.scan"};
 inline constexpr rpc::RpcMethod<ScanBatchRequest, ScanBatchReply>
     kDnScanBatch{"dn.scan_batch"};
-inline constexpr rpc::RpcMethod<WriteRequest, rpc::EmptyMessage> kDnWrite{
-    "dn.write"};
 inline constexpr rpc::RpcMethod<WriteBatchRequest, WriteBatchReply>
     kDnWriteBatch{"dn.write_batch"};
 inline constexpr rpc::RpcMethod<TxnControlRequest, rpc::EmptyMessage>
@@ -1063,7 +974,6 @@ inline constexpr rpc::RpcMethod<EpochCommitRequest, rpc::EmptyMessage>
     kDnEpochCommit{"dn.epoch_commit"};
 
 // Served by replica data nodes (read-on-replica).
-inline constexpr rpc::RpcMethod<ReadRequest, ReadReply> kRorRead{"ror.read"};
 inline constexpr rpc::RpcMethod<ReadBatchRequest, ReadBatchReply>
     kRorReadBatch{"ror.read_batch"};
 inline constexpr rpc::RpcMethod<ScanRequest, ScanReply> kRorScan{"ror.scan"};

@@ -45,9 +45,6 @@ sim::Task<void> ReplicaNode::SendHello() {
 }
 
 void ReplicaNode::BindService() {
-  server_.Handle(kRorRead, [this](NodeId from, ReadRequest request) {
-    return HandleRead(from, std::move(request));
-  });
   server_.Handle(kRorReadBatch, [this](NodeId from, ReadBatchRequest request) {
     return HandleReadBatch(from, std::move(request));
   });
@@ -60,35 +57,6 @@ void ReplicaNode::BindService() {
   server_.Handle(kRorStatus, [this](NodeId from, rpc::EmptyMessage request) {
     return HandleStatus(from, request);
   });
-}
-
-sim::Task<StatusOr<ReadReply>> ReplicaNode::HandleRead(NodeId from,
-                                                       ReadRequest request) {
-  co_await cpu_.Consume(options_.read_cost);
-  metrics_.Add("ror.reads");
-  ReadReply reply;
-  // Pending-commit tuple lock: retry after the blocking txn resolves. The
-  // table pointer must be re-fetched on every attempt — a snapshot install
-  // while parked on WaitResolved rebuilds the whole store and frees the old
-  // MvccTable out from under this coroutine.
-  while (true) {
-    MvccTable* table = store_.GetTable(request.table);
-    if (table == nullptr) {
-      // The table may simply have no rows replayed into this shard yet.
-      co_return reply;
-    }
-    ReadResult result = table->Read(request.key, request.snapshot);
-    if (result.provisional_txn != kInvalidTxnId &&
-        applier_->MustWait(result.provisional_txn, request.snapshot)) {
-      metrics_.Add("ror.pending_waits");
-      co_await applier_->WaitResolved(result.provisional_txn);
-      continue;
-    }
-    reply.found = result.found;
-    reply.value = std::move(result.value);
-    break;
-  }
-  co_return reply;
 }
 
 sim::Task<StatusOr<ReadBatchReply>> ReplicaNode::HandleReadBatch(

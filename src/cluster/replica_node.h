@@ -74,7 +74,6 @@ class ReplicaNode {
  private:
   void BindService();
   sim::Task<void> SendHello();
-  sim::Task<StatusOr<ReadReply>> HandleRead(NodeId from, ReadRequest request);
   sim::Task<StatusOr<ReadBatchReply>> HandleReadBatch(
       NodeId from, ReadBatchRequest request);
   sim::Task<StatusOr<ScanReply>> HandleScan(NodeId from, ScanRequest request);

@@ -37,9 +37,10 @@ sim::Task<std::string> InvokeHandler(Handler handler, NodeId from,
 /// sim::Task<StatusOr<M::Reply>>`; the idiomatic registration forwards to a
 /// member coroutine:
 ///
-///   server_.Handle(kDnRead, [this](NodeId from, ReadRequest request) {
-///     return HandleRead(from, std::move(request));
-///   });
+///   server_.Handle(kDnReadBatch,
+///                  [this](NodeId from, ReadBatchRequest request) {
+///                    return HandleReadBatch(from, std::move(request));
+///                  });
 ///
 /// The lambda must not itself be a coroutine — it returns the member-call
 /// Task directly, so no closure outlives its frame.

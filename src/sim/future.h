@@ -40,21 +40,39 @@ class Future {
   bool valid() const { return state_ != nullptr; }
   bool ready() const { return state_ && state_->value.has_value(); }
 
-  /// Awaitable; returns a copy of the value (values are small messages).
-  auto operator co_await() const noexcept {
-    struct Awaiter {
-      std::shared_ptr<internal_future::State<T>> state;
-      bool await_ready() const { return state->value.has_value(); }
-      void await_suspend(std::coroutine_handle<> h) {
-        state->waiters.push_back(h);
-      }
-      T await_resume() { return *state->value; }
-    };
+  /// Awaitable; returns a copy of the value, so any number of awaiters may
+  /// share the future.
+  auto operator co_await() const& noexcept {
     GDB_CHECK(state_ != nullptr) << "awaiting an invalid Future";
-    return Awaiter{state_};
+    return Awaiter<false>{state_};
+  }
+
+  /// Single-consumer await (`co_await std::move(future)`): moves the value
+  /// out instead of copying it, so the shared state — which other Promise
+  /// copies, e.g. a pending timeout, may keep alive — no longer holds it.
+  /// The state stays set: a later TrySet still loses.
+  auto operator co_await() && noexcept {
+    GDB_CHECK(state_ != nullptr) << "awaiting an invalid Future";
+    return Awaiter<true>{std::move(state_)};
   }
 
  private:
+  template <bool kMove>
+  struct Awaiter {
+    std::shared_ptr<internal_future::State<T>> state;
+    bool await_ready() const { return state->value.has_value(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      state->waiters.push_back(h);
+    }
+    T await_resume() {
+      if constexpr (kMove) {
+        return std::move(*state->value);
+      } else {
+        return *state->value;
+      }
+    }
+  };
+
   std::shared_ptr<internal_future::State<T>> state_;
 };
 

@@ -233,8 +233,9 @@ Task<StatusOr<std::string>> Network::Call(NodeId from, NodeId to,
     sim_->Schedule(timeout,
                    [p]() mutable { p.TrySet(Status::TimedOut("rpc")); });
   }
-  StatusOr<std::string> result = co_await future;
-  co_return result;
+  // Moved out, not copied: the timeout closure above keeps the shared state
+  // alive for the full rpc_timeout, and must not pin the reply payload.
+  co_return co_await std::move(future);
 }
 
 void Network::Send(NodeId from, NodeId to, std::string method,

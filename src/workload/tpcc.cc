@@ -656,7 +656,10 @@ sim::Task<TxnResult> TpccWorkload::Delivery(CoordinatorNode* cn, Rng* rng) {
     for (int64_t d = 1; d <= config_.districts_per_warehouse; ++d) {
       const ScanResult& res = (*found)[d - 1];
       if (res.rows.empty()) continue;
-      matched.push_back({d, std::get<int64_t>(res.rows[0][2])});
+      Matched m;
+      m.d = d;
+      m.o_id = std::get<int64_t>(res.rows[0][2]);
+      matched.push_back(std::move(m));
     }
     if (matched.empty()) {
       result.status = co_await cn->Commit(&txn);

@@ -73,6 +73,17 @@ class MultiGetTest : public ::testing::Test {
     return total;
   }
 
+  /// Every sample of a histogram, concatenated across the primaries.
+  std::vector<int64_t> DnHistValues(const std::string& name) {
+    std::vector<int64_t> all;
+    for (size_t s = 0; s < cluster_->num_shards(); ++s) {
+      const auto& values =
+          cluster_->data_node(s).metrics().Hist(name).values();
+      all.insert(all.end(), values.begin(), values.end());
+    }
+    return all;
+  }
+
   size_t TotalLocksHeld() {
     size_t total = 0;
     for (size_t s = 0; s < cluster_->num_shards(); ++s) {
@@ -341,7 +352,8 @@ TEST_F(MultiGetTest, MatchesSerialReadsByteForByte) {
 }
 
 // Disabling read batching degrades MultiGet to the serial path with
-// identical results — the ablation baseline stays correct.
+// identical results — the ablation baseline stays correct. Each key is its
+// own round trip: a one-entry read batch.
 TEST_F(MultiGetTest, DisabledBatchingFallsBackToSerialWithSameRows) {
   ClusterOptions options = ThreeCityOptions();
   options.coordinator.enable_read_batching = false;
@@ -365,10 +377,98 @@ TEST_F(MultiGetTest, DisabledBatchingFallsBackToSerialWithSameRows) {
   EXPECT_TRUE((*rows)[0].has_value());
   EXPECT_FALSE((*rows)[1].has_value());
   EXPECT_TRUE((*rows)[2].has_value());
-  // No batch RPCs anywhere: the serial path served every key.
-  EXPECT_EQ(DnTotal("dn.read_batches"), 0);
+  // No MultiGet statement ran: the serial path sent one one-entry batch
+  // per key.
   EXPECT_EQ(cn.metrics().Get("cn.multigets"), 0);
-  EXPECT_GE(DnTotal("dn.reads"), 2);
+  EXPECT_EQ(DnTotal("dn.read_batches"), 3);
+  for (int64_t entries : DnHistValues("dn.read_batch_entries")) {
+    EXPECT_EQ(entries, 1);
+  }
+}
+
+// Get and GetForUpdate ride MultiGet's batched path with one key: each
+// costs exactly one RPC, a one-entry read batch, and neither records the
+// MultiGet statement stats.
+TEST_F(MultiGetTest, GetAndGetForUpdateEachCostOneOneEntryBatch) {
+  Build(ThreeCityOptions());
+  auto& cn = cluster_->cn(0);
+  ASSERT_TRUE(RunTask(cn.CreateTable(AccountsSchema())).ok());
+  ASSERT_TRUE(RunTask(WriteIds(&cn, {1, 2})).ok());
+
+  auto work = [this, &cn]() -> sim::Task<Status> {
+    auto txn = co_await cn.Begin();
+    if (!txn.ok()) co_return txn.status();
+    // The CN's client also carries background traffic (horizon polls), so
+    // count the read-batch calls by their latency samples.
+    auto& calls =
+        cn.rpc_client().metrics().Hist("rpc.dn.read_batch.latency");
+    const size_t before = calls.count();
+
+    Row key1 = {int64_t{1}};
+    auto plain = co_await cn.Get(&*txn, "accounts", key1);
+    if (!plain.ok()) co_return plain.status();
+    EXPECT_TRUE(plain->has_value());
+    EXPECT_EQ(calls.count(), before + 1);
+    EXPECT_EQ(DnTotal("dn.read_batches"), 1);
+    EXPECT_EQ(DnTotal("dn.batched_reads"), 1);
+    EXPECT_EQ(TotalLocksHeld(), 0u);
+
+    Row key2 = {int64_t{2}};
+    auto locked = co_await cn.GetForUpdate(&*txn, "accounts", key2);
+    if (!locked.ok()) co_return locked.status();
+    EXPECT_TRUE(locked->has_value());
+    EXPECT_EQ(calls.count(), before + 2);
+    EXPECT_EQ(DnTotal("dn.read_batches"), 2);
+    EXPECT_EQ(DnTotal("dn.batched_reads"), 2);
+    EXPECT_EQ(TotalLocksHeld(), 1u);
+    co_return co_await cn.Commit(&*txn);
+  };
+  ASSERT_TRUE(RunTask(work()).ok());
+  for (int64_t entries : DnHistValues("dn.read_batch_entries")) {
+    EXPECT_EQ(entries, 1);
+  }
+  EXPECT_EQ(cn.metrics().Get("cn.multigets"), 0);
+  EXPECT_EQ(cn.metrics().Hist("cn.read_batch_size").count(), 0u);
+  EXPECT_EQ(cn.metrics().Hist("cn.multiget_fanout").count(), 0u);
+  EXPECT_EQ(TotalLocksHeld(), 0u);
+}
+
+// A GetForUpdate whose lock wait times out fails the statement, but its
+// shard already joined the write set when the RPC departed: the abort
+// reaches that shard, and once the holder ends no lock is left behind.
+TEST_F(MultiGetTest, TimedOutGetForUpdateLeavesNoLocksAfterAbort) {
+  ClusterOptions options = ThreeCityOptions();
+  // The lock wait gives up well inside the 200 ms RPC timeout, so the
+  // timeout comes back as the entry's status rather than a lost reply.
+  options.data_node.lock_timeout = 50 * kMillisecond;
+  Build(options);
+  auto& cn = cluster_->cn(0);
+  ASSERT_TRUE(RunTask(cn.CreateTable(AccountsSchema())).ok());
+  ASSERT_TRUE(RunTask(WriteIds(&cn, {1})).ok());
+
+  auto work = [this, &cn]() -> sim::Task<Status> {
+    auto holder = co_await cn.Begin();
+    if (!holder.ok()) co_return holder.status();
+    Row key = {int64_t{1}};
+    auto held = co_await cn.GetForUpdate(&*holder, "accounts", key);
+    if (!held.ok()) co_return held.status();
+    EXPECT_EQ(TotalLocksHeld(), 1u);
+
+    auto waiter = co_await cn.Begin();
+    if (!waiter.ok()) co_return waiter.status();
+    auto blocked = co_await cn.GetForUpdate(&*waiter, "accounts", key);
+    EXPECT_EQ(blocked.status().code(), StatusCode::kTimedOut);
+    EXPECT_EQ(waiter->write_shards.size(), 1u);
+    const int64_t aborts = DnTotal("dn.aborts");
+    Status aborted = co_await cn.Abort(&*waiter);
+    if (!aborted.ok()) co_return aborted;
+    EXPECT_EQ(DnTotal("dn.aborts"), aborts + 1);
+    // The waiter's abort released nothing of the holder's.
+    EXPECT_EQ(TotalLocksHeld(), 1u);
+    co_return co_await cn.Abort(&*holder);
+  };
+  ASSERT_TRUE(RunTask(work()).ok());
+  EXPECT_EQ(TotalLocksHeld(), 0u);
 }
 
 }  // namespace

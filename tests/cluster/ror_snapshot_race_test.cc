@@ -1,6 +1,6 @@
-// Regression: a ROR read that parks on a pending-commit transaction
-// (WaitResolved) while a snapshot install rebuilds the replica's store must
-// re-fetch the table on resume. The install frees every MvccTable, and the
+// Regression: a ROR point read (a kRorReadBatch entry) that parks on a
+// pending-commit transaction (WaitResolved) while a snapshot install
+// rebuilds the replica's store must re-fetch the table on resume. The install frees every MvccTable, and the
 // resolved-signal broadcast fires right after it — a reader that cached the
 // table pointer across the wait dereferenced freed memory (seen as a
 // BTree::Find segfault in the durability soak after a promotion forced the
@@ -70,20 +70,25 @@ TEST(RorSnapshotRaceTest, ParkedReadSurvivesSnapshotInstall) {
   sim.RunFor(100 * kMillisecond);
   ASSERT_TRUE(installed_first);
 
-  // The read parks on WaitResolved(5).
+  // The one-entry read batch parks on WaitResolved(5).
   bool read_done = false;
   auto reader = [&]() -> sim::Task<void> {
-    ReadRequest request;
-    request.table = 1;
-    request.key = "k";
+    ReadBatchRequest request;
     request.snapshot = 100;
-    auto reply = co_await client.Call(kReplica, kRorRead, request);
+    ReadBatchRequest::Entry entry;
+    entry.table = 1;
+    entry.key = "k";
+    request.entries.push_back(entry);
+    auto reply = co_await client.Call(kReplica, kRorReadBatch, request);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
     // Resumed by the install's resolved-signal broadcast: the answer must
     // come from the freshly installed image, through a re-fetched table.
-    EXPECT_TRUE(reply->found);
-    EXPECT_EQ(reply->value, "v-final");
+    EXPECT_EQ(reply->results.size(), 1u);
+    if (reply->results.size() != 1u) co_return;
+    EXPECT_TRUE(reply->results[0].ToStatus().ok());
+    EXPECT_TRUE(reply->results[0].found);
+    EXPECT_EQ(reply->results[0].value, "v-final");
     read_done = true;
   };
   sim.Spawn(reader());

@@ -1,9 +1,10 @@
 // Pipelined write batching on the CN (DESIGN.md §10): DoWrite enqueues
-// into per-shard buffers and ships kDnWriteBatch RPCs instead of one
-// kDnWrite round trip per statement. These tests pin down read-your-writes
-// barriers, threshold-triggered pipelining, atomic commit of buffered
-// writes, entry-failure abort with full lock release, and the replicated-
-// table fan-out on both the batched and the eager path.
+// into per-shard buffers and ships kDnWriteBatch RPCs instead of one round
+// trip per statement. These tests pin down read-your-writes barriers,
+// threshold-triggered pipelining, atomic commit of buffered writes,
+// entry-failure abort with full lock release, and the replicated-table
+// fan-out both batched and eager (batching off: each statement flushes its
+// own entries as one-entry batches and awaits them).
 
 #include "src/cluster/cluster.h"
 
@@ -148,8 +149,7 @@ TEST_F(WriteBatchTest, ReadYourBufferedWrites) {
   };
   ASSERT_TRUE(RunTask(work()).ok());
 
-  // Everything went through the batch path; the barriers were counted.
-  EXPECT_EQ(DnTotal("dn.writes"), 0);
+  // Every write was applied once; the barriers were counted.
   EXPECT_EQ(DnTotal("dn.batched_writes"), 7);  // 6 inserts + 1 update
   EXPECT_GE(cn.metrics().Get("cn.flush_barriers"), 2);
   EXPECT_EQ(TotalLocksHeld(), 0u);
@@ -174,7 +174,6 @@ TEST_F(WriteBatchTest, CommitFlushesPendingBatchesAtomically) {
   };
   ASSERT_TRUE(RunTask(writer()).ok());
 
-  EXPECT_EQ(DnTotal("dn.writes"), 0);
   EXPECT_EQ(DnTotal("dn.batched_writes"), 10);
   // One batch RPC per touched shard, not one per row.
   const int64_t batches = cn.metrics().Get("cn.write_batches");
@@ -329,9 +328,9 @@ TEST_F(WriteBatchTest, FailedEntryAbortsAndReleasesAllLocks) {
   EXPECT_TRUE(insert_one(500).ok());
 }
 
-// Replicated tables fan out each write to every shard — batched through
-// per-shard buffers by default, via one parallel CallAll on the eager path
-// — and reads are served by the CN's local primary afterwards. Shared body
+// Replicated tables fan out each write to every shard — buffered per shard
+// until commit by default, flushed by the statement itself on the eager
+// path — and reads are served by the CN's local primary afterwards. Shared body
 // for the two variants below (one cluster per test: a simulator cannot
 // host a second cluster after the first is torn down).
 class ReplicatedFanOutTest : public WriteBatchTest {
@@ -343,23 +342,29 @@ class ReplicatedFanOutTest : public WriteBatchTest {
     auto& cn = cluster_->cn(0);
     ASSERT_TRUE(RunTask(cn.CreateTable(RatesSchema())).ok());
 
-    auto writer = [this, &cn]() -> sim::Task<Status> {
+    auto writer = [this, &cn, batching]() -> sim::Task<Status> {
       auto txn = co_await cn.Begin();
       if (!txn.ok()) co_return txn.status();
       Row row = {int64_t{7}, int64_t{125}};
       Status s = co_await cn.Insert(&*txn, "rates", row);
       if (!s.ok()) co_return s;
+      // The eager statement returned only after its round trip: every copy
+      // is applied already. The buffered one has sent nothing yet.
+      EXPECT_EQ(DnTotal("dn.batched_writes"), batching ? 0 : 6);
       co_return co_await cn.Commit(&*txn);
     };
     ASSERT_TRUE(RunTask(writer()).ok()) << "batching=" << batching;
 
-    // One copy applied on every shard, through the expected path.
-    if (batching) {
-      EXPECT_EQ(DnTotal("dn.batched_writes"), 6);
-      EXPECT_EQ(DnTotal("dn.writes"), 0);
-    } else {
-      EXPECT_EQ(DnTotal("dn.writes"), 6);
-      EXPECT_EQ(DnTotal("dn.batched_writes"), 0);
+    // One copy applied on every shard, each in a one-entry batch.
+    EXPECT_EQ(DnTotal("dn.batched_writes"), 6);
+    EXPECT_EQ(DnTotal("dn.write_batches"), 6);
+    for (size_t s = 0; s < cluster_->num_shards(); ++s) {
+      for (int64_t entries : cluster_->data_node(s)
+                                 .metrics()
+                                 .Hist("dn.write_batch_entries")
+                                 .values()) {
+        EXPECT_EQ(entries, 1) << "batching=" << batching << " shard=" << s;
+      }
     }
 
     // Every CN (each in a different region) reads its local copy.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/sim/future.h"
@@ -145,6 +146,40 @@ TEST(SimulatorTest, PromiseTrySetSecondWriterLoses) {
   sim.Spawn(Pong(&sim, p.GetFuture(), &when, &value));
   sim.Run();
   EXPECT_EQ(value, 1);
+}
+
+Task<void> TakeValue(Future<std::string> f, std::string* out) {
+  *out = co_await std::move(f);
+}
+
+Task<void> CopyValue(Future<std::string> f, std::string* out) {
+  *out = co_await f;
+}
+
+// The single-consumer await (Network::Call's reply path) moves the value
+// out: the awaiter gets it intact, the shared state — still referenced by a
+// pending timeout's Promise copy — no longer holds the payload, and the
+// timeout's later TrySet still loses.
+TEST(SimulatorTest, MovedOutAwaitDeliversValueAndLateTrySetLoses) {
+  Simulator sim;
+  Promise<std::string> p(&sim);
+  const std::string payload(4096, 'x');
+  std::string taken;
+  sim.Spawn(TakeValue(p.GetFuture(), &taken));
+  sim.Schedule(10, [p, payload]() mutable { p.Set(payload); });
+  bool timeout_won = true;
+  sim.Schedule(50, [p, &timeout_won]() mutable {
+    timeout_won = p.TrySet("timed out");
+  });
+  sim.Run();
+  EXPECT_EQ(taken, payload);
+  EXPECT_FALSE(timeout_won);
+  EXPECT_TRUE(p.has_value());
+  // A copying await after the move sees the emptied value, not the payload.
+  std::string copied = "unset";
+  sim.Spawn(CopyValue(p.GetFuture(), &copied));
+  sim.Run();
+  EXPECT_TRUE(copied.empty());
 }
 
 Task<void> Worker(Simulator* sim, WaitGroup* wg, SimDuration d) {
